@@ -153,8 +153,9 @@ pub struct FederatedEngine {
     /// cached. Append-only — ids never change meaning once assigned.
     interner: SharedInterner,
     /// Cross-execution cache of lifted source results (paired with
-    /// `interner`). Valid for the engine's lifetime: the engine owns the
-    /// lake, so source contents cannot change underneath it.
+    /// `interner`), read by both schedules and the serve loop. Cleared by
+    /// [`FederatedEngine::lake_mut`]: the engine owns the lake, so that is
+    /// the only way source contents can change underneath it.
     lifts: crate::wrapper::SharedLiftCache,
     /// Session flight recorder: a bounded ring of query-lifecycle events
     /// across every execution and serve run of this engine. Disabled (a
@@ -248,8 +249,11 @@ impl FederatedEngine {
 
     /// Mutable access to the lake — administrative data loads and the
     /// chaos/observability suites (which mutate the statistics catalog
-    /// post-collection to plant mis-estimates) go through here.
+    /// post-collection to plant mis-estimates) go through here. Clears the
+    /// lift cache: whatever the caller changes, no execution may serve a
+    /// source result lifted before the change.
     pub fn lake_mut(&mut self) -> &mut DataLake {
+        self.lifts.lock().unwrap_or_else(|e| e.into_inner()).clear();
         &mut self.lake
     }
 
@@ -457,7 +461,6 @@ impl FederatedEngine {
         // between batches, to stop at the same instant the reference
         // executor would.
         let batch_mode = self.config.batch && self.config.deadline.is_none() && want.is_none();
-        ctx.batch = batch_mode;
         if batch_mode {
             loop {
                 let step = if self.config.overlap {

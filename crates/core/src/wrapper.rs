@@ -25,7 +25,7 @@ use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_netsim::{EventTime, Link};
 use fedlake_rdf::{Dictionary, FastMap, TermId};
 use fedlake_relational::{Database, ResultSet, Value};
-use fedlake_sparql::binding::{encode_row, Row, RowBatch, RowSchema, SlotRow};
+use fedlake_sparql::binding::{Row, RowBatch, RowSchema, SlotRow};
 use fedlake_sparql::eval::eval_bgp;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -132,26 +132,16 @@ pub fn open_service<'a>(
         .ok_or_else(|| FedError::NoSuchSource(node.source_id.clone()))?;
     match (&node.kind, source) {
         (ServiceKind::Sparql { star, filters }, DataSource::Sparql { graph, .. }) => {
-            Ok(Box::new(SparqlStream {
-                graph,
-                star: star.clone(),
-                filters: filters.clone(),
-                route,
-                rows_per_message,
-                state: None,
-                flight: None,
-            }))
+            let request =
+                SourceRequest::Sparql { graph, star: star.clone(), filters: filters.clone() };
+            Ok(Box::new(SourceStream::new(request, route, rows_per_message)))
         }
         (ServiceKind::Sql { request, .. }, DataSource::Relational { db, .. }) => match request {
-            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => Ok(Box::new(SqlStream {
-                db,
-                sql: q.sql.clone(),
-                outputs: q.outputs.clone(),
-                route,
-                rows_per_message,
-                state: None,
-                flight: None,
-            })),
+            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => {
+                let request =
+                    SourceRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone() };
+                Ok(Box::new(SourceStream::new(request, route, rows_per_message)))
+            }
             SqlRequest::MergedNaive { outer, inner, join } => Ok(Box::new(NaiveStream {
                 db,
                 outer_sql: outer.sql.clone(),
@@ -481,8 +471,9 @@ pub fn lift_result(
         .collect()
 }
 
-/// Columnar lift for the batch-driven executor: one `TermId` buffer per
-/// slot, written column-at-a-time with the same per-column value memo as
+/// Columnar lift behind every one-shot stream's materialization, under
+/// both schedules and both drivers: one `TermId` buffer per slot, written
+/// column-at-a-time with the same per-column value memo as
 /// [`lift_result`]. Produces exactly the ids [`lift_result`] would assign
 /// to each cell — only the interning *order* (and therefore the raw id
 /// numbering) differs, which nothing downstream observes: ids never leave
@@ -530,10 +521,12 @@ fn lift_result_cols(
 /// One source's materialized, lifted result: column-major `TermId`
 /// buffers, one per schema slot, plus the source-side cost counters the
 /// simulation charges per execution. Cached by the engine across
-/// executions of the same planned query (ids stay valid because the
-/// engine's interner is append-only and shared with every execution);
-/// serving a hit re-charges the stored cost so the *simulated* execution
-/// is byte-identical to a cold run — only wall-clock time changes.
+/// executions — serialized, overlapped and served alike — of any query
+/// issuing the same request under the same slot layout (ids stay valid
+/// because the engine's interner is append-only and shared with every
+/// execution); serving a hit re-charges the stored cost so the
+/// *simulated* execution is byte-identical to a cold run — only
+/// wall-clock time changes.
 #[derive(Debug)]
 pub struct LiftedSource {
     cols: Vec<Vec<TermId>>,
@@ -543,8 +536,9 @@ pub struct LiftedSource {
 
 /// Engine-owned cache of lifted source results, keyed by the schema's
 /// slot-layout fingerprint plus a per-stream signature (source id,
-/// request text, output bindings). Valid for the engine's lifetime: the
-/// engine owns the lake, so source contents cannot change underneath it.
+/// request text, output bindings). The engine clears it whenever it hands
+/// out mutable access to its lake (`FederatedEngine::lake_mut`), the
+/// only way source contents can change underneath it.
 pub type SharedLiftCache =
     Arc<std::sync::Mutex<fedlake_rdf::FastMap<(u64, String), Arc<LiftedSource>>>>;
 
@@ -612,12 +606,46 @@ impl ColumnStore {
     }
 }
 
-/// Materialized payload of a [`Delivery`]: row-major for the row-pull
-/// executor (and sources that produce rows anyway), column-major when the
-/// batch-driven executor asked the stream to materialize that way.
+/// Materialized payload of a [`Delivery`] or [`FlightDelivery`]: the
+/// shared column-major lift of a one-shot source, or owned rows for the
+/// N+1 join's per-binding buffers.
 enum Materialized {
     Rows(VecDeque<SlotRow>),
     Cols(ColumnStore),
+}
+
+impl Materialized {
+    fn rows(rows: Vec<SlotRow>) -> Self {
+        Materialized::Rows(rows.into())
+    }
+
+    fn remaining(&self) -> usize {
+        match self {
+            Materialized::Rows(rows) => rows.len(),
+            Materialized::Cols(store) => store.remaining(),
+        }
+    }
+
+    fn take_row(&mut self) -> SlotRow {
+        match self {
+            Materialized::Rows(rows) => rows.pop_front().expect("rows remain"),
+            Materialized::Cols(store) => store.take_row(),
+        }
+    }
+
+    /// The next `take` rows as one batch of `width` slots.
+    fn take_batch(&mut self, take: usize, width: usize) -> RowBatch {
+        match self {
+            Materialized::Rows(rows) => {
+                let mut batch = RowBatch::with_capacity(width, take);
+                for row in rows.drain(..take) {
+                    batch.push_row(&row);
+                }
+                batch
+            }
+            Materialized::Cols(store) => store.take_batch(take),
+        }
+    }
 }
 
 /// Shared message-batched delivery of a materialized result.
@@ -628,52 +656,53 @@ struct Delivery {
 }
 
 impl Delivery {
-    fn new(rows: Vec<SlotRow>) -> Self {
-        Delivery {
-            data: Materialized::Rows(rows.into()),
-            batch_left: 0,
-            empty_notified: false,
-        }
-    }
-
-    fn new_columnar(store: ColumnStore) -> Self {
-        Delivery { data: Materialized::Cols(store), batch_left: 0, empty_notified: false }
+    fn new(data: Materialized) -> Self {
+        Delivery { data, batch_left: 0, empty_notified: false }
     }
 
     fn remaining(&self) -> usize {
-        match &self.data {
-            Materialized::Rows(rows) => rows.len(),
-            Materialized::Cols(store) => store.remaining(),
-        }
+        self.data.remaining()
     }
 
-    /// Pulls the next row, transferring a message (with retries) when the
-    /// current batch is exhausted. Returns `None` when drained (after the
-    /// empty-result notification message when there were no rows at all).
-    fn pull(
+    /// Makes the current message chunk non-empty, transferring the next
+    /// message (with retries) when it is exhausted. Returns `false` when
+    /// drained (after the empty-result notification message when there
+    /// were no rows at all).
+    fn refill(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
-    ) -> Result<Option<SlotRow>, FedError> {
+    ) -> Result<bool, FedError> {
         if self.remaining() == 0 {
             if !self.empty_notified {
                 self.empty_notified = true;
                 transfer_with_retry(route, 0, ctx)?;
             }
-            return Ok(None);
+            return Ok(false);
         }
         if self.batch_left == 0 {
             let n = self.remaining().min(rows_per_message);
             transfer_with_retry(route, n, ctx)?;
             self.batch_left = n;
         }
-        self.batch_left -= 1;
         self.empty_notified = true;
-        Ok(Some(match &mut self.data {
-            Materialized::Rows(rows) => rows.pop_front().expect("rows remain"),
-            Materialized::Cols(store) => store.take_row(),
-        }))
+        Ok(true)
+    }
+
+    /// Pulls the next row, transferring a message when the current chunk
+    /// is exhausted.
+    fn pull(
+        &mut self,
+        route: &SourceRoute,
+        rows_per_message: usize,
+        ctx: &mut ExecCtx,
+    ) -> Result<Option<SlotRow>, FedError> {
+        if !self.refill(route, rows_per_message, ctx)? {
+            return Ok(None);
+        }
+        self.batch_left -= 1;
+        Ok(Some(self.data.take_row()))
     }
 
     /// Batched pull: delivers the remainder of the current message chunk
@@ -688,44 +717,24 @@ impl Delivery {
         max: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Option<RowBatch>, FedError> {
-        if self.remaining() == 0 {
-            if !self.empty_notified {
-                self.empty_notified = true;
-                transfer_with_retry(route, 0, ctx)?;
-            }
+        if !self.refill(route, rows_per_message, ctx)? {
             return Ok(None);
         }
-        if self.batch_left == 0 {
-            let n = self.remaining().min(rows_per_message);
-            transfer_with_retry(route, n, ctx)?;
-            self.batch_left = n;
-        }
-        self.empty_notified = true;
         let take = self.batch_left.min(max.max(1));
-        let batch = match &mut self.data {
-            Materialized::Rows(rows) => {
-                let mut batch = RowBatch::with_capacity(ctx.schema.len(), take);
-                for _ in 0..take {
-                    let row = rows.pop_front().expect("batch_left rows remain");
-                    batch.push_row(&row);
-                }
-                batch
-            }
-            Materialized::Cols(store) => store.take_batch(take),
-        };
         self.batch_left -= take;
-        Ok(Some(batch))
+        Ok(Some(self.data.take_batch(take, ctx.schema.len())))
     }
 }
 
-/// One message in flight on the overlapped schedule: the completion event
-/// plus the rows it carries (none for a request or an empty-result
-/// notification). `err` is set when the retry budget was exhausted; the
-/// error surfaces only once the failure time is due, exactly when the
-/// serialized schedule would have observed it.
+/// One event in flight on the overlapped schedule: a message carrying
+/// `rows` rows (none for a request or an empty-result notification), or a
+/// one-shot source's request round trip plus evaluation. `err` is set
+/// when the retry budget was exhausted; the error surfaces only once the
+/// failure time is due, exactly when the serialized schedule would have
+/// observed it.
 struct Flight {
     ev: EventTime,
-    rows: Vec<SlotRow>,
+    rows: usize,
     err: Option<FedError>,
 }
 
@@ -733,59 +742,54 @@ struct Flight {
 /// with at most one message in flight on the link at a time. Rows become
 /// deliverable when their message's completion event is due; while a
 /// message is in the air the owner reports `Poll::Pending`, letting the
-/// engine drain *other* sources in the meantime.
+/// engine drain *other* sources in the meantime. Of `data`'s remaining
+/// rows, the first `ready` have arrived and the next `inflight.rows` are
+/// in the air; a message launches only once both are drained.
 struct FlightDelivery {
-    rows: VecDeque<SlotRow>,
-    ready: VecDeque<SlotRow>,
+    data: Materialized,
+    ready: usize,
     inflight: Option<Flight>,
     empty_notified: bool,
 }
 
 impl FlightDelivery {
-    fn new(rows: Vec<SlotRow>) -> Self {
-        FlightDelivery {
-            rows: rows.into(),
-            ready: VecDeque::new(),
-            inflight: None,
-            empty_notified: false,
-        }
+    fn new(data: Materialized) -> Self {
+        FlightDelivery { data, ready: 0, inflight: None, empty_notified: false }
     }
 
     /// A delivery whose empty-result notification is considered already
     /// sent (the NaiveStream inner buffers: the per-binding round trip
     /// was its own message).
     fn pre_notified(rows: Vec<SlotRow>) -> Self {
-        FlightDelivery { empty_notified: true, ..FlightDelivery::new(rows) }
+        FlightDelivery { empty_notified: true, ..FlightDelivery::new(Materialized::rows(rows)) }
     }
 
-    fn launch(
-        &mut self,
-        batch: Vec<SlotRow>,
-        n: usize,
-        route: &SourceRoute,
-        ctx: &mut ExecCtx,
-    ) {
+    fn launch(&mut self, n: usize, route: &SourceRoute, ctx: &mut ExecCtx) {
         let (time, err) =
             match schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx) {
                 Ok(done) => (done, None),
                 Err((t, e)) => (t, Some(e)),
             };
-        self.inflight = Some(Flight { ev: ctx.sched.schedule(time), rows: batch, err });
+        self.inflight = Some(Flight { ev: ctx.sched.schedule(time), rows: n, err });
     }
 
-    /// Non-blocking pull mirroring [`Delivery::pull`]'s message protocol:
+    /// Runs [`Delivery::refill`]'s message protocol without blocking:
     /// same message boundaries, same empty-result notification, same
     /// retry accounting — only *when* the link time passes differs.
-    fn poll(
+    /// `Ready` means at least one row has arrived. The next message
+    /// launches only when a poll observes nothing ready, whether the
+    /// caller then takes a row or a batch, so launch times, link
+    /// occupancy and event ordering do not depend on the driver.
+    fn advance(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
-    ) -> Result<Poll<SlotRow>, FedError> {
+    ) -> Result<Poll<()>, FedError> {
         loop {
-            if let Some(row) = self.ready.pop_front() {
+            if self.ready > 0 {
                 self.empty_notified = true;
-                return Ok(Poll::Ready(row));
+                return Ok(Poll::Ready(()));
             }
             if let Some(f) = &self.inflight {
                 if f.ev.time > ctx.clock.now() {
@@ -796,425 +800,238 @@ impl FlightDelivery {
                 if let Some(e) = f.err {
                     return Err(e);
                 }
-                self.ready.extend(f.rows);
+                self.ready = f.rows;
                 continue;
             }
-            if self.rows.is_empty() {
+            let unsent = self.data.remaining();
+            if unsent == 0 {
                 if !self.empty_notified {
                     self.empty_notified = true;
-                    self.launch(Vec::new(), 0, route, ctx);
+                    self.launch(0, route, ctx);
                     continue;
                 }
                 return Ok(Poll::Done);
             }
-            let n = self.rows.len().min(rows_per_message);
-            let batch: Vec<SlotRow> = self.rows.drain(..n).collect();
-            self.launch(batch, n, route, ctx);
+            self.launch(unsent.min(rows_per_message), route, ctx);
         }
     }
 
-    /// Batched poll mirroring [`FlightDelivery::poll`]: drains the ready
-    /// queue (capped at `max`) as one [`RowBatch`]. The next message
-    /// launches only when a poll observes the ready queue empty — the
-    /// identical condition to the row poll — so launch times, link
-    /// occupancy and event ordering are unchanged.
-    fn poll_batch(
-        &mut self,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        max: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        loop {
-            if !self.ready.is_empty() {
-                self.empty_notified = true;
-                let take = self.ready.len().min(max.max(1));
-                let mut batch = RowBatch::with_capacity(ctx.schema.len(), take);
-                for _ in 0..take {
-                    let row = self.ready.pop_front().expect("checked non-empty");
-                    batch.push_row(&row);
-                }
-                return Ok(Poll::Ready(batch));
-            }
-            if let Some(f) = &self.inflight {
-                if f.ev.time > ctx.clock.now() {
-                    return Ok(Poll::Pending(f.ev));
-                }
-                let f = self.inflight.take().expect("checked above");
-                ctx.sched.complete(f.ev);
-                if let Some(e) = f.err {
-                    return Err(e);
-                }
-                self.ready.extend(f.rows);
-                continue;
-            }
-            if self.rows.is_empty() {
-                if !self.empty_notified {
-                    self.empty_notified = true;
-                    self.launch(Vec::new(), 0, route, ctx);
-                    continue;
-                }
-                return Ok(Poll::Done);
-            }
-            let n = self.rows.len().min(rows_per_message);
-            let batch: Vec<SlotRow> = self.rows.drain(..n).collect();
-            self.launch(batch, n, route, ctx);
-        }
-    }
-}
-
-/// The overlapped state of a one-shot service stream (SQL or SPARQL):
-/// first the request round trip plus the source-side evaluation complete
-/// as one scheduled event, then the result streams through a
-/// [`FlightDelivery`].
-enum SourceFlight {
-    Computing { ev: EventTime, rows: Vec<SlotRow>, err: Option<FedError> },
-    Delivering(FlightDelivery),
-}
-
-impl SourceFlight {
     fn poll(
-        this: &mut Option<SourceFlight>,
+        &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Poll<SlotRow>, FedError> {
-        loop {
-            match this.as_mut().expect("launched before polling") {
-                SourceFlight::Computing { ev, rows, err } => {
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(*ev));
-                    }
-                    ctx.sched.complete(*ev);
-                    if let Some(e) = err.take() {
-                        return Err(e);
-                    }
-                    let rows = std::mem::take(rows);
-                    *this = Some(SourceFlight::Delivering(FlightDelivery::new(rows)));
-                }
-                SourceFlight::Delivering(d) => {
-                    return d.poll(route, rows_per_message, ctx);
-                }
+        Ok(match self.advance(route, rows_per_message, ctx)? {
+            Poll::Ready(()) => {
+                self.ready -= 1;
+                Poll::Ready(self.data.take_row())
             }
-        }
+            Poll::Pending(ev) => Poll::Pending(ev),
+            Poll::Done => Poll::Done,
+        })
     }
 
-    /// Batched counterpart of [`SourceFlight::poll`]: identical state
-    /// machine, batched delivery once the source's computation lands.
+    /// Batched poll: the arrived rows (capped at `max`) as one batch.
     fn poll_batch(
-        this: &mut Option<SourceFlight>,
+        &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         max: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Poll<RowBatch>, FedError> {
-        loop {
-            match this.as_mut().expect("launched before polling") {
-                SourceFlight::Computing { ev, rows, err } => {
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(*ev));
-                    }
-                    ctx.sched.complete(*ev);
-                    if let Some(e) = err.take() {
-                        return Err(e);
-                    }
-                    let rows = std::mem::take(rows);
-                    *this = Some(SourceFlight::Delivering(FlightDelivery::new(rows)));
-                }
-                SourceFlight::Delivering(d) => {
-                    return d.poll_batch(route, rows_per_message, max, ctx);
-                }
+        Ok(match self.advance(route, rows_per_message, ctx)? {
+            Poll::Ready(()) => {
+                let take = self.ready.min(max.max(1));
+                self.ready -= take;
+                Poll::Ready(self.data.take_batch(take, ctx.schema.len()))
             }
-        }
+            Poll::Pending(ev) => Poll::Pending(ev),
+            Poll::Done => Poll::Done,
+        })
     }
 }
 
-/// Streams a single SQL request's answers.
-struct SqlStream<'a> {
-    db: &'a Database,
-    sql: String,
-    outputs: Vec<OutputBinding>,
+/// What a one-shot service stream asks its source for.
+enum SourceRequest<'a> {
+    /// A single (or merged-optimized) SQL query over a relational source.
+    Sql { db: &'a Database, sql: String, outputs: Vec<OutputBinding> },
+    /// A star subquery, with its pushed-down filters, over an RDF source.
+    Sparql {
+        graph: &'a fedlake_rdf::Graph,
+        star: crate::decompose::StarSubquery,
+        filters: Vec<fedlake_sparql::expr::Expr>,
+    },
+}
+
+/// Streams a one-shot service request's answers: one request message,
+/// one evaluation at the source, then the result in messages.
+struct SourceStream<'a> {
+    request: SourceRequest<'a>,
     route: SourceRoute,
     rows_per_message: usize,
     state: Option<Delivery>,
-    flight: Option<SourceFlight>,
+    flight: Option<FlightDelivery>,
 }
 
-impl SqlStream<'_> {
-    /// Schedules the request round trip and the source's evaluation on
-    /// the link timeline — the overlapped mirror of the serialized
-    /// initialization in [`FedOp::next`], charge for charge.
-    fn launch(&self, ctx: &mut ExecCtx) -> Result<SourceFlight, FedError> {
-        ctx.stats.sql_queries += 1;
-        match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
-            Ok(done_req) => {
-                let rs = self.db.query_cached(&self.sql)?;
-                let done = self
-                    .route
-                    .active_link()
-                    .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), done_req);
-                let rows =
-                    lift_result(&rs, &self.outputs, &ctx.schema, &mut ctx.interner.lock());
-                ctx.stats.service_rows += rows.len() as u64;
-                if ctx.trace.is_enabled() {
-                    ctx.trace.source_span(
-                        SpanKind::Compute,
-                        self.route.active_endpoint(),
-                        "sql evaluation",
-                        done_req,
-                        done,
-                        rows.len() as u64,
-                    );
-                }
-                Ok(SourceFlight::Computing { ev: ctx.sched.schedule(done), rows, err: None })
-            }
-            Err((t, e)) => Ok(SourceFlight::Computing {
-                ev: ctx.sched.schedule(t),
-                rows: Vec::new(),
-                err: Some(e),
-            }),
-        }
-    }
-}
-
-impl SqlStream<'_> {
-    /// Serialized first-call initialization: ship the query (one request
-    /// message, retried on faults) and let the source compute; its work
-    /// is priced by the cost model. Shared by the row and batch pulls,
-    /// so both charge identically.
-    fn ensure_state(&mut self, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        if self.state.is_none() {
-            ctx.stats.sql_queries += 1;
-            transfer_with_retry(&self.route, 0, ctx)?;
-            // Column-major lift, cached across executions of the same
-            // planned query. A hit skips the source's scan and the lift
-            // but re-charges the stored cost counters, so the simulated
-            // execution is identical either way; both the row and the
-            // batch executor read from the same materialization.
-            // Key signature: the SQL text already pins the selected columns,
-            // the output var names pin their SPARQL-side binding order, and
-            // the schema fingerprint pins the slot layout. No Debug
-            // formatting.
-            let mut sig =
-                String::with_capacity(self.sql.len() + self.route.logical.len() + 32);
-            sig.push_str("sql:");
-            sig.push_str(&self.route.logical);
-            sig.push(':');
-            sig.push_str(&self.sql);
-            for ob in &self.outputs {
-                sig.push(':');
-                sig.push_str(ob.var.name());
-            }
-            let key = (schema_fingerprint(&ctx.schema), sig);
-            let lifted = match lift_cache_get(ctx, &key) {
-                Some(hit) => hit,
-                None => {
-                    let rs = self.db.query_cached(&self.sql)?;
-                    let mut fresh = lift_result_cols(
-                        &rs,
-                        &self.outputs,
-                        &ctx.schema,
-                        &mut ctx.interner.lock(),
-                    );
-                    fresh.sql_cost = Some(convert_cost(&rs.cost));
-                    let fresh = Arc::new(fresh);
-                    lift_cache_put(ctx, key, Arc::clone(&fresh));
-                    fresh
-                }
-            };
-            let cost = lifted.sql_cost.as_ref().expect("sql lift carries cost");
-            let work = ctx.cost.rdb_time(cost);
-            ctx.clock.advance(work);
-            ctx.stats.service_rows += lifted.rows as u64;
-            if ctx.trace.is_enabled() {
-                let now = ctx.clock.now();
-                ctx.trace.source_span(
-                    SpanKind::Compute,
-                    self.route.active_endpoint(),
-                    "sql evaluation",
-                    now - work,
-                    now,
-                    lifted.rows as u64,
-                );
-            }
-            self.state = Some(Delivery::new_columnar(ColumnStore::new(lifted)));
-        }
-        Ok(())
-    }
-}
-
-impl FedOp for SqlStream<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        self.ensure_state(ctx)?;
-        let delivery = self.state.as_mut().expect("initialized above");
-        delivery.pull(&self.route, self.rows_per_message, ctx)
+impl<'a> SourceStream<'a> {
+    fn new(request: SourceRequest<'a>, route: SourceRoute, rows_per_message: usize) -> Self {
+        SourceStream { request, route, rows_per_message, state: None, flight: None }
     }
 
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        self.ensure_state(ctx)?;
-        let delivery = self.state.as_mut().expect("initialized above");
-        delivery.pull_batch(&self.route, self.rows_per_message, max, ctx)
-    }
-
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx)?);
-        }
-        SourceFlight::poll(&mut self.flight, &self.route, self.rows_per_message, ctx)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx)?);
-        }
-        SourceFlight::poll_batch(&mut self.flight, &self.route, self.rows_per_message, max, ctx)
-    }
-}
-
-/// Streams a SPARQL star's answers from an RDF source.
-struct SparqlStream<'a> {
-    graph: &'a fedlake_rdf::Graph,
-    star: crate::decompose::StarSubquery,
-    filters: Vec<fedlake_sparql::expr::Expr>,
-    route: SourceRoute,
-    rows_per_message: usize,
-    state: Option<Delivery>,
-    flight: Option<SourceFlight>,
-}
-
-impl SparqlStream<'_> {
-    fn launch(&self, ctx: &mut ExecCtx) -> SourceFlight {
-        match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
-            Ok(done_req) => {
-                let rows = eval_bgp(&self.star.triples, self.graph, vec![Row::new()]);
-                let rows: Vec<Row> = rows
-                    .into_iter()
-                    .filter(|r| self.filters.iter().all(|f| f.test(r)))
-                    .collect();
-                let done = self.route.active_link().schedule_busy(
-                    ctx.cost.sparql_time(self.star.triples.len(), rows.len() as u64),
-                    done_req,
-                );
-                ctx.stats.service_rows += rows.len() as u64;
-                if ctx.trace.is_enabled() {
-                    ctx.trace.source_span(
-                        SpanKind::Compute,
-                        self.route.active_endpoint(),
-                        "sparql evaluation",
-                        done_req,
-                        done,
-                        rows.len() as u64,
-                    );
-                }
-                let mut dict = ctx.interner.lock();
-                let encoded: Vec<SlotRow> = rows
-                    .iter()
-                    .map(|r| encode_row(r, &ctx.schema, &mut dict))
-                    .collect();
-                drop(dict);
-                SourceFlight::Computing { ev: ctx.sched.schedule(done), rows: encoded, err: None }
-            }
-            Err((t, e)) => SourceFlight::Computing {
-                ev: ctx.sched.schedule(t),
-                rows: Vec::new(),
-                err: Some(e),
-            },
-        }
-    }
-}
-
-impl SparqlStream<'_> {
-    /// Serialized first-call initialization, shared by the row and batch
-    /// pulls: request round trip, star evaluation at the source, filter
-    /// pushdown, interning of the surviving rows.
-    fn ensure_state(&mut self, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        if self.state.is_none() {
-            transfer_with_retry(&self.route, 0, ctx)?;
-            // Star evaluation and encoding cached across executions, like
-            // the SQL side; the evaluation charge depends only on the star
-            // shape and the answer count, both stored with the hit.
-            // Key signature: triple patterns written positionally (vars by
-            // name, ground terms by display form) plus any engine-side
-            // filters; cheaper than Debug-formatting the whole subquery.
-            let mut sig = String::with_capacity(64);
-            sig.push_str("sparql:");
-            sig.push_str(&self.route.logical);
-            for t in &self.star.triples {
-                for pos in [&t.s, &t.p, &t.o] {
+    /// The lift-cache key: the schema fingerprint pins the slot layout;
+    /// the signature pins the request. For SQL the text already pins the
+    /// selected columns and the output var names pin their SPARQL-side
+    /// binding order; a star is written positionally (vars by name,
+    /// ground terms by display form) plus any engine-side filters.
+    fn cache_key(&self, schema: &RowSchema) -> (u64, String) {
+        let logical = &self.route.logical;
+        let mut sig = String::with_capacity(64);
+        match &self.request {
+            SourceRequest::Sql { sql, outputs, .. } => {
+                let _ = write!(sig, "sql:{logical}:{sql}");
+                for ob in outputs {
                     sig.push(':');
-                    match pos {
-                        fedlake_sparql::ast::VarOrTerm::Var(v) => {
-                            sig.push('?');
-                            sig.push_str(v.name());
-                        }
-                        fedlake_sparql::ast::VarOrTerm::Term(t) => {
-                            let _ = write!(sig, "{t}");
+                    sig.push_str(ob.var.name());
+                }
+            }
+            SourceRequest::Sparql { star, filters, .. } => {
+                let _ = write!(sig, "sparql:{logical}");
+                for t in &star.triples {
+                    for pos in [&t.s, &t.p, &t.o] {
+                        match pos {
+                            fedlake_sparql::ast::VarOrTerm::Var(v) => {
+                                let _ = write!(sig, ":?{}", v.name());
+                            }
+                            fedlake_sparql::ast::VarOrTerm::Term(t) => {
+                                let _ = write!(sig, ":{t}");
+                            }
                         }
                     }
                 }
+                for f in filters {
+                    let _ = write!(sig, ":{f:?}");
+                }
             }
-            for f in &self.filters {
-                let _ = write!(sig, ":{f:?}");
+        }
+        (schema_fingerprint(schema), sig)
+    }
+
+    /// The stream's one materialization step, shared by both schedules:
+    /// the source's lifted result from the engine's lift cache, evaluated
+    /// at the source, lifted column-major and inserted on a miss. A hit
+    /// skips the evaluation and the lift; callers charge the simulated
+    /// evaluation from the entry ([`SourceStream::work`]), so the
+    /// simulated execution is identical either way.
+    fn materialize(&self, ctx: &mut ExecCtx) -> Result<Arc<LiftedSource>, FedError> {
+        let key = self.cache_key(&ctx.schema);
+        if let Some(hit) = lift_cache_get(ctx, &key) {
+            return Ok(hit);
+        }
+        let fresh = Arc::new(match &self.request {
+            SourceRequest::Sql { db, sql, outputs } => {
+                let rs = db.query_cached(sql)?;
+                let mut fresh =
+                    lift_result_cols(&rs, outputs, &ctx.schema, &mut ctx.interner.lock());
+                fresh.sql_cost = Some(convert_cost(&rs.cost));
+                fresh
             }
-            let key = (schema_fingerprint(&ctx.schema), sig);
-            let lifted = match lift_cache_get(ctx, &key) {
-                Some(hit) => hit,
-                None => {
-                    let rows = eval_bgp(&self.star.triples, self.graph, vec![Row::new()]);
-                    let rows: Vec<Row> = rows
-                        .into_iter()
-                        .filter(|r| self.filters.iter().all(|f| f.test(r)))
-                        .collect();
-                    let mut cols =
-                        vec![vec![TermId::UNBOUND; rows.len()]; ctx.schema.len()];
-                    let mut dict = ctx.interner.lock();
-                    for (i, r) in rows.iter().enumerate() {
-                        let encoded = encode_row(r, &ctx.schema, &mut dict);
-                        for (slot, id) in encoded.slots().iter().enumerate() {
-                            cols[slot][i] = *id;
+            SourceRequest::Sparql { graph, star, filters } => {
+                let rows: Vec<Row> = eval_bgp(&star.triples, graph, vec![Row::new()])
+                    .into_iter()
+                    .filter(|r| filters.iter().all(|f| f.test(r)))
+                    .collect();
+                let mut cols = vec![vec![TermId::UNBOUND; rows.len()]; ctx.schema.len()];
+                let mut dict = ctx.interner.lock();
+                for (i, r) in rows.iter().enumerate() {
+                    for (v, t) in r.iter() {
+                        if let Some(slot) = ctx.schema.slot(v) {
+                            cols[slot][i] = dict.intern(t.clone());
                         }
                     }
-                    drop(dict);
-                    let fresh = Arc::new(LiftedSource {
-                        cols,
-                        rows: rows.len(),
-                        sql_cost: None,
-                    });
-                    lift_cache_put(ctx, key, Arc::clone(&fresh));
-                    fresh
                 }
+                LiftedSource { cols, rows: rows.len(), sql_cost: None }
+            }
+        });
+        lift_cache_put(ctx, key, Arc::clone(&fresh));
+        Ok(fresh)
+    }
+
+    /// The simulated price of the source's evaluation, charged from the
+    /// materialized entry: the relational cost model over the stored SQL
+    /// counters, or the star shape and its answer count.
+    fn work(&self, lifted: &LiftedSource, ctx: &ExecCtx) -> Duration {
+        match &self.request {
+            SourceRequest::Sql { .. } => {
+                ctx.cost.rdb_time(lifted.sql_cost.as_ref().expect("sql lift carries cost"))
+            }
+            SourceRequest::Sparql { star, .. } => {
+                ctx.cost.sparql_time(star.triples.len(), lifted.rows as u64)
+            }
+        }
+    }
+
+    /// Counts the request (SQL only) before its round trip.
+    fn count_request(&self, ctx: &mut ExecCtx) {
+        if matches!(self.request, SourceRequest::Sql { .. }) {
+            ctx.stats.sql_queries += 1;
+        }
+    }
+
+    /// Counts the evaluation's rows and traces it as `[from, to]`.
+    fn computed(&self, lifted: &LiftedSource, from: Duration, to: Duration, ctx: &mut ExecCtx) {
+        ctx.stats.service_rows += lifted.rows as u64;
+        if ctx.trace.is_enabled() {
+            let label = match self.request {
+                SourceRequest::Sql { .. } => "sql evaluation",
+                SourceRequest::Sparql { .. } => "sparql evaluation",
             };
-            let work = ctx
-                .cost
-                .sparql_time(self.star.triples.len(), lifted.rows as u64);
+            let endpoint = self.route.active_endpoint();
+            ctx.trace.source_span(SpanKind::Compute, endpoint, label, from, to, lifted.rows as u64);
+        }
+    }
+
+    /// Serialized first-call initialization, shared by the row and batch
+    /// pulls: ship the request (one message, retried on faults), then
+    /// let the source compute on the shared clock.
+    fn ensure_state(&mut self, ctx: &mut ExecCtx) -> Result<(), FedError> {
+        if self.state.is_none() {
+            self.count_request(ctx);
+            transfer_with_retry(&self.route, 0, ctx)?;
+            let lifted = self.materialize(ctx)?;
+            let work = self.work(&lifted, ctx);
             ctx.clock.advance(work);
-            ctx.stats.service_rows += lifted.rows as u64;
-            if ctx.trace.is_enabled() {
-                let now = ctx.clock.now();
-                ctx.trace.source_span(
-                    SpanKind::Compute,
-                    self.route.active_endpoint(),
-                    "sparql evaluation",
-                    now - work,
-                    now,
-                    lifted.rows as u64,
-                );
-            }
-            self.state = Some(Delivery::new_columnar(ColumnStore::new(lifted)));
+            let now = ctx.clock.now();
+            self.computed(&lifted, now - work, now, ctx);
+            self.state = Some(Delivery::new(Materialized::Cols(ColumnStore::new(lifted))));
         }
         Ok(())
     }
+
+    /// Overlapped first-poll initialization — the mirror of
+    /// [`SourceStream::ensure_state`], charge for charge: the request
+    /// round trip and the source's evaluation land on the link timeline
+    /// as one in-flight event carrying no rows; the result's messages
+    /// launch once it is due.
+    fn launch(&self, ctx: &mut ExecCtx) -> Result<FlightDelivery, FedError> {
+        self.count_request(ctx);
+        let (at, data, err) =
+            match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
+                Ok(done_req) => {
+                    let lifted = self.materialize(ctx)?;
+                    let work = self.work(&lifted, ctx);
+                    let done = self.route.active_link().schedule_busy(work, done_req);
+                    self.computed(&lifted, done_req, done, ctx);
+                    (done, Materialized::Cols(ColumnStore::new(lifted)), None)
+                }
+                Err((t, e)) => (t, Materialized::rows(Vec::new()), Some(e)),
+            };
+        let inflight = Some(Flight { ev: ctx.sched.schedule(at), rows: 0, err });
+        Ok(FlightDelivery { inflight, ..FlightDelivery::new(data) })
+    }
 }
 
-impl FedOp for SparqlStream<'_> {
+impl FedOp for SourceStream<'_> {
     fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
         self.ensure_state(ctx)?;
         let delivery = self.state.as_mut().expect("initialized above");
@@ -1233,9 +1050,10 @@ impl FedOp for SparqlStream<'_> {
 
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx));
+            self.flight = Some(self.launch(ctx)?);
         }
-        SourceFlight::poll(&mut self.flight, &self.route, self.rows_per_message, ctx)
+        let flight = self.flight.as_mut().expect("launched above");
+        flight.poll(&self.route, self.rows_per_message, ctx)
     }
 
     fn poll_next_batch(
@@ -1244,9 +1062,10 @@ impl FedOp for SparqlStream<'_> {
         max: usize,
     ) -> Result<Poll<RowBatch>, FedError> {
         if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx));
+            self.flight = Some(self.launch(ctx)?);
         }
-        SourceFlight::poll_batch(&mut self.flight, &self.route, self.rows_per_message, max, ctx)
+        let flight = self.flight.as_mut().expect("launched above");
+        flight.poll_batch(&self.route, self.rows_per_message, max, ctx)
     }
 }
 
@@ -1450,7 +1269,7 @@ impl FedOp for NaiveStream<'_> {
             }
             self.state = Some(NaiveState {
                 outer: outer.into(),
-                buffer: Delivery::new(Vec::new()),
+                buffer: Delivery::new(Materialized::rows(Vec::new())),
                 produced_any: false,
             });
         }
@@ -1476,7 +1295,7 @@ impl FedOp for NaiveStream<'_> {
             transfer_with_retry(&self.route, 1, ctx)?;
             let merged = self.inner_rows(&outer_row, ctx)?;
             let state = self.state.as_mut().expect("initialized");
-            state.buffer = Delivery::new(merged);
+            state.buffer = Delivery::new(Materialized::rows(merged));
             state.buffer.empty_notified = true; // inner already messaged
         }
     }
@@ -2175,6 +1994,102 @@ mod tests {
         let mut c = ctx(clock, &["s", "o"]);
         let rows = drain(op.as_mut(), &mut c).unwrap();
         assert_eq!(rows.len(), 1);
+    }
+
+    /// Drains an operator on the overlapped schedule, advancing the
+    /// virtual clock to each pending event as the engine's driver does.
+    fn drain_overlapped(op: &mut dyn FedOp, c: &mut ExecCtx) -> Vec<SlotRow> {
+        let mut out = Vec::new();
+        loop {
+            match op.poll_next(c).unwrap() {
+                Poll::Ready(row) => out.push(row),
+                Poll::Pending(ev) => c.clock.advance_to(ev.time),
+                Poll::Done => return out,
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_streams_share_the_serialized_materialization() {
+        let mut lake = lake();
+        let mut g = fedlake_rdf::Graph::new();
+        for (s, o) in [("x", 5), ("y", 50), ("z", 500)] {
+            g.insert_terms(
+                fedlake_rdf::Term::iri(format!("http://d/{s}")),
+                fedlake_rdf::Term::iri("http://v/p"),
+                fedlake_rdf::Term::integer(o),
+            );
+        }
+        lake.add_source(DataSource::sparql("r", g));
+        let sparql = decompose(
+            &parse_query("SELECT * WHERE { ?s <http://v/p> ?o . FILTER(?o > 10) }").unwrap(),
+        )
+        .unwrap();
+        let sparql_node = ServiceNode {
+            source_id: "r".into(),
+            route: None,
+            kind: ServiceKind::Sparql {
+                star: sparql.stars[0].clone(),
+                filters: sparql.stars[0].filters.clone(),
+            },
+            estimated_rows: 2.0,
+        };
+        let sql_node = ServiceNode {
+            source_id: "d".into(),
+            route: None,
+            kind: ServiceKind::Sql {
+                request: SqlRequest::Single(TranslatedQuery {
+                    sql: "SELECT g.id AS i, g.label AS l FROM gene g".into(),
+                    outputs: vec![
+                        OutputBinding {
+                            var: Var::new("g"),
+                            lift: Lift::SubjectIri(IriTemplate::new("http://d/gene/{}")),
+                        },
+                        OutputBinding {
+                            var: Var::new("l"),
+                            lift: Lift::Literal(fedlake_relational::DataType::Text),
+                        },
+                    ],
+                }),
+                covers: vec!["?g".into()],
+            },
+            estimated_rows: 5.0,
+        };
+        for (node, vars) in [(sql_node, ["g", "l"]), (sparql_node, ["s", "o"])] {
+            let lifts: SharedLiftCache = Arc::default();
+            let interner = SharedInterner::new();
+            let run = |overlapped: bool| {
+                let clock = shared_virtual();
+                let link = Arc::new(Link::new(
+                    NetworkProfile::GAMMA2,
+                    Arc::clone(&clock),
+                    CostModel::default(),
+                    7,
+                ));
+                let route = SourceRoute::single(node.source_id.clone(), link);
+                let mut op = open_service(&node, &lake, route, 2).unwrap();
+                let mut c = ctx(clock, &vars).with_lifts(Arc::clone(&lifts));
+                c.interner = interner.clone();
+                let rows = if overlapped {
+                    drain_overlapped(op.as_mut(), &mut c)
+                } else {
+                    drain(op.as_mut(), &mut c).unwrap()
+                };
+                (rows, c.clock.now(), c.stats)
+            };
+            let entry = || {
+                let cache = lifts.lock().unwrap();
+                assert_eq!(cache.len(), 1, "one entry for {}", node.source_id);
+                Arc::clone(cache.values().next().unwrap())
+            };
+            let first = run(true);
+            let cached = entry();
+            let second = run(true);
+            assert!(Arc::ptr_eq(&cached, &entry()), "the rerun must hit {}", node.source_id);
+            assert_eq!(first, second);
+            assert_eq!(run(false), first, "serialized drain of {}", node.source_id);
+            assert_eq!(first.0.len(), if node.source_id == "d" { 5 } else { 2 });
+        }
     }
 
     #[test]

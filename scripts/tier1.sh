@@ -170,6 +170,21 @@ if cargo run -q --offline --release -p fedlake-bench --bin lake_shell -- \
     exit 1
 fi
 
+# Benchmark gates: fedbench's own helper tests, then a short serve_open
+# run. Its JSON reports "correct": true only when every answer matches
+# the oracle digests, every served answer equals its solo run and every
+# simulated figure repeats across passes.
+echo "== fedbench helper tests =="
+cargo test --release --offline --manifest-path fedbench/Cargo.toml
+
+echo "== fedbench serve_open smoke (3 s, answers checked) =="
+bench_json="$(cargo run --release --offline --quiet --manifest-path fedbench/Cargo.toml -- \
+    run --workload serve_open --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+case "$bench_json" in
+    *'"correct": true'*) ;;
+    *) echo "fedbench serve_open smoke failed: $bench_json"; exit 1 ;;
+esac
+
 echo "== cargo clippy -D warnings (offline) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -10,9 +10,10 @@
 //! in its metrics rollup.
 
 use fedlake_core::obs::Metric;
-use fedlake_core::{FedError, FederatedEngine, PlanConfig, PlanMode};
+use fedlake_core::{DataLake, DataSource, FedError, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
+use fedlake_rdf::{Graph, Term};
 use fedlake_serve::{run, sorted_csv, Mix, ServeSpec};
 use fedlake_sparql::parser::parse_query;
 use std::time::Duration;
@@ -166,6 +167,43 @@ fn source_mutation_invalidates_the_entry() {
     assert!(stats.invalidations >= 1, "{stats:?}");
     let (_, origin) = engine.plan_cached(&ast).unwrap();
     assert!(origin.cached, "the refreshed plan is cacheable again");
+}
+
+/// Mutating a source's data through the engine must also retire the
+/// engine's lifted source results: the rerun sees the new triple under
+/// both schedules, which share one lift cache.
+#[test]
+fn source_mutation_invalidates_lifted_results() {
+    fn thing(n: u32) -> [Term; 3] {
+        [
+            Term::iri(format!("http://d/thing{n}")),
+            Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
+            Term::iri("http://v/Thing"),
+        ]
+    }
+    let query = "SELECT ?t WHERE { ?t a <http://v/Thing> . }";
+    for overlap in [false, true] {
+        let mut graph = Graph::new();
+        let [s, p, o] = thing(0);
+        graph.insert_terms(s, p, o);
+        let mut lake = DataLake::new();
+        lake.add_source(DataSource::sparql("things", graph));
+        let mut engine = FederatedEngine::new(lake, config(false, overlap, false));
+        assert_eq!(engine.execute_sparql(query).unwrap().rows.len(), 1, "overlap={overlap}");
+
+        let Some(DataSource::Sparql { graph, .. }) = engine.lake_mut().source_mut("things")
+        else {
+            panic!("things is a SPARQL source")
+        };
+        let [s, p, o] = thing(1);
+        graph.insert_terms(s, p, o);
+        engine.lake_mut().refresh_templates();
+        assert_eq!(
+            engine.execute_sparql(query).unwrap().rows.len(),
+            2,
+            "overlap={overlap}: the rerun must see the inserted triple"
+        );
+    }
 }
 
 /// Catalog drift (statistics scaled after collection) bumps the epoch

@@ -107,33 +107,41 @@ fn every_seed_matches_the_solo_golden() {
 /// The lift cache must survive plans being dropped and re-created while
 /// other sessions (with other schemas) run in between: its key is the
 /// schema's slot-layout fingerprint, so a reused allocation can never
-/// serve wrongly-slotted columns. Each engine execution is compared to a
-/// fresh-engine golden, and the reference executor — which never touches
-/// the cache — must agree throughout.
+/// serve wrongly-slotted columns. Both schedules share the cache, so the
+/// loop alternates them: entries one schedule warms, the other reads.
+/// Each engine execution is compared to a fresh-engine golden, and the
+/// reference executor — which never touches the cache — must agree
+/// throughout.
 #[test]
 fn lift_cache_sessions_interleave_safely() {
     let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
     let lake = build_lake_with(&lake_cfg, &Mix::default().datasets());
-    let engine = FederatedEngine::new(lake.clone(), config());
+    let mut engine = FederatedEngine::new(lake.clone(), config());
 
     // Interleave two plan shapes that share a source (Q3 and Q5 both
     // read Diseasome) across repeated plan/execute/drop cycles, warming
-    // and re-hitting the cache under allocator reuse.
-    for i in 0..6 {
+    // and re-hitting the cache under allocator reuse. The schedule runs
+    // serialized, overlapped, overlapped, serialized per four cycles:
+    // Q3 is warmed serialized and re-read overlapped, Q5 the other way.
+    for i in 0..8 {
         let q = if i % 2 == 0 { workload::q3() } else { workload::q5() };
+        let mut cfg = config();
+        cfg.overlap = matches!(i % 4, 1 | 2);
+        engine.set_config(cfg);
         let ast = parse_query(&q.sparql).unwrap();
         let planned = engine.plan(&ast).unwrap();
         let warm = engine.execute_planned(&planned).unwrap();
-        let golden = solo_golden(&lake, config(), &q.sparql).unwrap();
+        let golden = solo_golden(&lake, cfg, &q.sparql).unwrap();
+        let overlap = cfg.overlap;
         assert_eq!(
             sorted_csv(&warm.vars, &warm.rows),
             sorted_csv(&golden.vars, &golden.rows),
-            "{} iteration {i}: cached session must match a cold engine",
+            "{} iteration {i} (overlap={overlap}): cached session must match a cold engine",
             q.id
         );
         assert_eq!(
             warm.stats, golden.stats,
-            "{} iteration {i}: a cache hit must re-charge identical simulated cost",
+            "{} iteration {i} (overlap={overlap}): a cache hit must re-charge identical simulated cost",
             q.id
         );
         // The reference executor stays cold by construction: it never
@@ -149,6 +157,7 @@ fn lift_cache_sessions_interleave_safely() {
 
     // A serve run on the same (warm) engine mixes cached and uncached
     // sessions; every answer still matches a cold solo run.
+    engine.set_config(config());
     let s = spec(5);
     let r = run(&engine, &s).unwrap();
     for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
